@@ -284,13 +284,23 @@ func (c *campaign) snapshot() CampaignSnapshot {
 // CampaignResult blocks until every job of the campaign reaches a terminal
 // state (or ctx is cancelled) and returns the aggregated report: per-module
 // delta-BEL and the standard-formula SCR. Any failed or cancelled job fails
-// the whole campaign with that job's error.
+// the whole campaign with the first such error, base job first, then
+// modules in submission order.
 func (s *Service) CampaignResult(ctx context.Context, id CampaignID) (*CampaignReport, error) {
 	c, err := s.campaign(id)
 	if err != nil {
 		return nil, err
 	}
-	baseRep, err := awaitJob(ctx, c.base)
+	// Wait for every job before judging any: returning on the first error
+	// would hand out a result while CampaignStatus still reports running.
+	for _, j := range c.all() {
+		select {
+		case <-j.doneCh:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	baseRep, err := c.base.result()
 	if err != nil {
 		return nil, fmt.Errorf("core: campaign %s base job: %w", id, err)
 	}
@@ -302,7 +312,7 @@ func (s *Service) CampaignResult(ctx context.Context, id CampaignID) (*CampaignR
 	}
 	deltas := make(map[stress.Module]float64, len(c.jobs))
 	for k, j := range c.jobs {
-		r, err := awaitJob(ctx, j)
+		r, err := j.result()
 		if err != nil {
 			return nil, fmt.Errorf("core: campaign %s module %s: %w", id, c.modules[k], err)
 		}
@@ -321,8 +331,7 @@ func (s *Service) CampaignResult(ctx context.Context, id CampaignID) (*CampaignR
 	} else {
 		rep.Cost.add(baseRep.Deploy)
 		for k := range c.jobs {
-			r, _ := awaitJob(ctx, c.jobs[k])
-			if r != nil {
+			if r, _ := c.jobs[k].result(); r != nil {
 				rep.Cost.add(r.Deploy)
 			}
 		}
@@ -347,12 +356,17 @@ func (s *Service) CancelCampaign(id CampaignID) error {
 func awaitJob(ctx context.Context, j *job) (*SimulationReport, error) {
 	select {
 	case <-j.doneCh:
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.report, j.err
+		return j.result()
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// result reads the outcome of a terminal job.
+func (j *job) result() (*SimulationReport, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.report, j.err
 }
 
 func (s *Service) campaign(id CampaignID) (*campaign, error) {
