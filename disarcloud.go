@@ -358,7 +358,8 @@ type (
 	// VerifyArrivalModel is a discretized Markov arrival process.
 	VerifyArrivalModel = verify.ArrivalModel
 	// ScalingPolicy is the pluggable decision layer of the elastic
-	// control loop — the seam internal/verify model-checks.
+	// control loop. The built-in policies behind it are the same step
+	// functions internal/verify model-checks.
 	ScalingPolicy = core.ScalingPolicy
 )
 
@@ -408,7 +409,7 @@ var (
 	// VerifySweep evaluates a parameter grid and marks the Pareto front.
 	VerifySweep = verify.Sweep
 	// VerifyReplay cross-validates a request empirically: seeded trace
-	// replays through the real elastic controller.
+	// replays of the same policy through a sampled backlog.
 	VerifyReplay = verify.Replay
 	// VerifyModelFromCounts discretizes recorded per-tick arrival counts
 	// (e.g. forecast.Recorder telemetry) into an arrival model, so live

@@ -151,11 +151,17 @@ type eventSub struct {
 }
 
 // autoscaler is the service-side state of the elastic control plane: the
-// controller, the decision history ring, and the event subscribers.
+// controller configuration, the decision history ring, and the event
+// subscribers.
 type autoscaler struct {
-	ctrl      *elastic.Controller
+	cfg       elastic.Config // defaulted
 	tick      time.Duration
 	newTicker TickerFunc
+
+	// lastSubmitted and primed turn the scheduler's monotone submission
+	// counter into Signals.RatePerTick; only the control loop touches them.
+	lastSubmitted uint64
+	primed        bool
 
 	mu           sync.Mutex
 	recent       []ScalingEvent
@@ -298,7 +304,7 @@ func (s *Service) AutoscalerStatus() AutoscalerStatus {
 		if pp, ok := s.policy.(ParameterizedPolicy); ok {
 			out.PolicyParams = pp.PolicyParams()
 		}
-		out.Config = s.scaler.ctrl.Config()
+		out.Config = s.scaler.cfg
 		out.DroppedEvents = s.scaler.dropped()
 		out.Recent = s.scaler.snapshotRecent()
 	}
@@ -342,29 +348,24 @@ func (s *Service) controlLoop() {
 
 // controlTick is one control-loop iteration: sample the scheduler, feed the
 // forecast recorder, ask the scaling policy for a decision, and apply it.
-// The decision logic itself lives behind the ScalingPolicy seam
-// (scalepolicy.go): reactivePolicy wraps the elastic controller,
-// hybridPolicy overlays the forecast planner, and WithScalingPolicy can
-// substitute anything else.
+// The decision itself is the policy's (scalepolicy.go); the tick only
+// assembles the signals it observes.
 func (s *Service) controlTick(now time.Time) {
 	st := s.sched.stats()
-	if s.fc != nil {
-		s.fc.record(now, st)
-	}
-	if lp, ok := s.policy.(*learnedPolicy); ok {
-		// The learned policy measures its arrival rate by differencing the
-		// scheduler's monotone submission counter across ticks.
-		lp.observe(st)
-	}
 	sig := elastic.Signals{
 		Now:               now,
 		Queued:            st.Queued,
 		InFlight:          st.InFlight,
 		Workers:           st.Target,
 		BacklogETASeconds: st.QueuedETA,
+		RatePerTick:       s.scaler.rate(st),
 	}
 	if !st.EarliestDeadline.IsZero() {
 		sig.SlackSeconds = st.EarliestDeadline.Sub(now).Seconds()
+	}
+	if s.fc != nil {
+		s.fc.record(now, st)
+		sig.Plan = s.fc.plan(s.scaler.tick, s.scaler.cfg.MaxWorkers)
 	}
 	dec, act := s.policy.Decide(sig)
 	if !act || dec.Target == st.Target {
@@ -373,4 +374,15 @@ func (s *Service) controlTick(now time.Time) {
 	s.spawn(s.sched.setTarget(dec.Target))
 	s.scaler.record(dec)
 	s.notifyScale(dec.Target)
+}
+
+// rate is the number of submissions since the previous control tick (0 on
+// the first tick, which has nothing to difference against).
+func (a *autoscaler) rate(st schedStats) float64 {
+	r := 0.0
+	if a.primed {
+		r = float64(st.SubmittedTotal - a.lastSubmitted)
+	}
+	a.lastSubmitted, a.primed = st.SubmittedTotal, true
+	return r
 }

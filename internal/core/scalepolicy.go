@@ -1,21 +1,22 @@
 package core
 
 import (
-	"time"
+	"errors"
+	"fmt"
+	"maps"
 
 	"disarcloud/internal/elastic"
+	"disarcloud/internal/rl"
 )
 
 // ScalingPolicy is the pluggable decision layer of the elastic control
-// loop, extracted from the control tick so alternative policies — the
-// built-in reactive controller, the hybrid forecast overlay, or a future
-// learned policy — share one seam. Decide is called once per control tick
-// with the sampled signals and returns the capacity change to apply, if
-// any; it runs on the control loop, so implementations must not block, and
-// they are never called concurrently. The same seam is what
-// internal/verify model-checks: its Policy FSMs are finite-state
-// re-encodings of these implementations, pinned to them by the boundary
-// test suite.
+// loop. Decide is called once per control tick with the sampled signals and
+// returns the capacity change to apply, if any; it runs on the control
+// loop, so implementations must not block, and they are never called
+// concurrently. The built-in policies — reactive, hybrid and learned — are
+// elastic.Policy step functions run by an elastic.Controller, the same
+// functions internal/verify model-checks and internal/rl trains against;
+// WithScalingPolicy substitutes anything else.
 type ScalingPolicy interface {
 	// Name identifies the policy in status reports.
 	Name() string
@@ -24,70 +25,71 @@ type ScalingPolicy interface {
 	Decide(sig elastic.Signals) (elastic.Decision, bool)
 }
 
-// reactivePolicy is the elastic controller alone: the default policy when
-// WithForecast is not given.
-type reactivePolicy struct {
-	ctrl *elastic.Controller
+// ParameterizedPolicy is the optional interface a ScalingPolicy implements
+// to surface its hyperparameters through AutoscalerStatus (and from there
+// GET /v1/autoscaler): a flat name->value map, stable enough to diff across
+// deploys. All three built-in policies implement it.
+type ParameterizedPolicy interface {
+	PolicyParams() map[string]float64
 }
 
-func (p reactivePolicy) Name() string { return "reactive" }
-
-func (p reactivePolicy) Decide(sig elastic.Signals) (elastic.Decision, bool) {
-	return p.ctrl.Decide(sig)
+// builtinPolicy is a built-in elastic.Policy on the control loop: the
+// embedded controller keeps its single state cell between ticks.
+type builtinPolicy struct {
+	*elastic.Controller
+	params map[string]float64
 }
 
-// hybridPolicy overlays the feed-forward forecast planner on the reactive
-// controller. The hybrid applies the MAXIMUM of the reactive decision (or
-// the current pool when the controller is silent) and the planner target —
-// feed-forward provisioning can only ever add capacity, and a planner
-// target above a reactive shrink overrides the shrink ("forecast"
-// decisions; the forecast says the demand is coming back, so releasing now
-// would thrash). Downward, when the reactive controller is silent and the
-// planner's target has sat persistently below the pool with the queue no
-// deeper than the pool itself, one worker per tick is released
-// ("forecast-idle" decisions) — the forecast knows the demand is gone
-// before the reactive pressure gauge, which hovers at its threshold on a
-// right-sized pool, manages to detect idleness.
-type hybridPolicy struct {
-	ctrl *elastic.Controller
-	fc   *forecastState
-	tick time.Duration
+// PolicyParams implements ParameterizedPolicy.
+func (p builtinPolicy) PolicyParams() map[string]float64 { return maps.Clone(p.params) }
+
+// elasticParams flattens a controller configuration: the reactive policy's
+// parameters, and the hybrid's before its headroom.
+func elasticParams(cfg elastic.Config) map[string]float64 {
+	return map[string]float64{
+		"min_workers":            float64(cfg.MinWorkers),
+		"max_workers":            float64(cfg.MaxWorkers),
+		"scale_up_pressure":      cfg.ScaleUpPressure,
+		"scale_down_pressure":    cfg.ScaleDownPressure,
+		"scale_up_cooldown_ms":   float64(cfg.ScaleUpCooldown.Milliseconds()),
+		"scale_down_cooldown_ms": float64(cfg.ScaleDownCooldown.Milliseconds()),
+		"max_step":               float64(cfg.MaxStep),
+	}
 }
 
-func (p *hybridPolicy) Name() string { return "hybrid" }
+// WithLearnedPolicy installs a trained Q-table (internal/rl) as the control
+// loop's decision layer — the third built-in policy next to reactive and
+// hybrid. It requires WithElastic (the loop and the pool gauges), and the
+// table's own pool bounds must lie within the elastic configuration's, so
+// the policy can never target capacity the controller configuration forbids.
+// It conflicts with WithForecast and WithScalingPolicy — one decision layer
+// at a time. The policy observes the jobs in system and the arrival count
+// of the last control interval (the live stand-in for the trace profile it
+// saw in training and verification).
+func WithLearnedPolicy(t *rl.Table) ServiceOption {
+	return func(c *serviceConfig) { c.qtable = t }
+}
 
-func (p *hybridPolicy) Decide(sig elastic.Signals) (elastic.Decision, bool) {
-	dec, act := p.ctrl.Decide(sig)
-	final := sig.Workers
-	if act {
-		final = dec.Target
+// buildLearnedPolicy validates the WithLearnedPolicy wiring at NewService
+// time.
+func buildLearnedPolicy(cfg *serviceConfig, scaler *autoscaler, fc *forecastState) (ScalingPolicy, error) {
+	if scaler == nil {
+		return nil, errors.New("core: WithLearnedPolicy requires WithElastic (the policy needs the control loop)")
 	}
-	cfg := p.ctrl.Config()
-	plan, shed := p.fc.plan(p.tick, cfg.MaxWorkers, sig.Workers)
-	// Forecast grows obey the controller's MaxStep per tick — the planner
-	// replaces the grow *cooldown* (its persistence and horizon smoothing
-	// already damp decision churn, and capacity ordered ahead of demand is
-	// the subsystem's point), but the per-decision step bound is a
-	// provisioning rate limit, not damping, and bypassing it would let one
-	// plan slam a 1-worker pool to the ceiling.
-	if plan > sig.Workers+cfg.MaxStep {
-		plan = sig.Workers + cfg.MaxStep
+	if fc != nil {
+		return nil, errors.New("core: WithLearnedPolicy conflicts with WithForecast (one decision layer at a time)")
 	}
-	switch {
-	case plan > final:
-		final = plan
-		dec = elastic.Decision{At: sig.Now, From: sig.Workers, Target: plan, Reason: "forecast", Signals: sig}
-		act = true
-	case shed && !act && sig.Workers > cfg.MinWorkers && sig.Queued <= sig.Workers:
-		final = sig.Workers - 1
-		dec = elastic.Decision{At: sig.Now, From: sig.Workers, Target: final, Reason: "forecast-idle", Signals: sig}
-		act = true
+	if cfg.policy != nil {
+		return nil, errors.New("core: WithLearnedPolicy conflicts with WithScalingPolicy (one decision layer at a time)")
 	}
-	if act && dec.Reason != "forecast-idle" {
-		// Any other applied decision — reactive grow/shrink or a forecast
-		// grow — restarts the release path's persistence window, so a shed
-		// can never land on the heels of a grow.
-		p.fc.resetShed()
+	ec := scaler.cfg
+	t := cfg.qtable
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
-	return dec, act
+	if t.Spec.MinWorkers < ec.MinWorkers || t.Spec.MaxWorkers > ec.MaxWorkers {
+		return nil, fmt.Errorf("core: Q-table pool bounds [%d,%d] outside the elastic bounds [%d,%d]",
+			t.Spec.MinWorkers, t.Spec.MaxWorkers, ec.MinWorkers, ec.MaxWorkers)
+	}
+	return builtinPolicy{elastic.ControllerFor(t), t.Params()}, nil
 }

@@ -219,6 +219,7 @@ func NewService(d *Deployer, opts ...ServiceOption) (*Service, error) {
 		campaigns:  make(map[CampaignID]*campaign),
 		procScale:  cfg.procScale,
 	}
+	var reactive *elastic.Reactive
 	if cfg.elastic != nil {
 		ec := *cfg.elastic
 		if ec.MinWorkers == 0 {
@@ -227,11 +228,12 @@ func NewService(d *Deployer, opts ...ServiceOption) (*Service, error) {
 			// rather than silently dropping the floor.
 			ec.MinWorkers = cfg.workers
 		}
-		ctrl, err := elastic.NewController(ec)
-		if err != nil {
+		var err error
+		if reactive, err = elastic.NewReactive(ec); err != nil {
 			cancel()
 			return nil, err
 		}
+		ec = reactive.Config()
 		tick := cfg.tick
 		if tick <= 0 {
 			tick = DefaultElasticTick
@@ -240,11 +242,11 @@ func NewService(d *Deployer, opts ...ServiceOption) (*Service, error) {
 		if ticker == nil {
 			ticker = defaultTicker
 		}
-		s.scaler = &autoscaler{ctrl: ctrl, tick: tick, newTicker: ticker}
-		if cfg.workers < ctrl.Config().MinWorkers || cfg.workers > ctrl.Config().MaxWorkers {
+		s.scaler = &autoscaler{cfg: ec, tick: tick, newTicker: ticker}
+		if cfg.workers < ec.MinWorkers || cfg.workers > ec.MaxWorkers {
 			cancel()
 			return nil, fmt.Errorf("core: initial pool %d outside the elastic bounds [%d,%d]",
-				cfg.workers, ctrl.Config().MinWorkers, ctrl.Config().MaxWorkers)
+				cfg.workers, ec.MinWorkers, ec.MaxWorkers)
 		}
 	}
 	if cfg.forecast != nil {
@@ -282,9 +284,11 @@ func NewService(d *Deployer, opts ...ServiceOption) (*Service, error) {
 		}
 		s.policy = cfg.policy
 	case s.fc != nil:
-		s.policy = &hybridPolicy{ctrl: s.scaler.ctrl, fc: s.fc, tick: s.scaler.tick}
+		params := elasticParams(s.scaler.cfg)
+		params["headroom"] = s.fc.planner.Headroom
+		s.policy = builtinPolicy{elastic.ControllerFor(&elastic.Hybrid{Reactive: reactive}), params}
 	case s.scaler != nil:
-		s.policy = reactivePolicy{ctrl: s.scaler.ctrl}
+		s.policy = builtinPolicy{elastic.ControllerFor(reactive), elasticParams(s.scaler.cfg)}
 	}
 	s.spawn(s.sched.setTarget(cfg.workers))
 	s.notifyScale(cfg.workers)

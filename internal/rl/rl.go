@@ -1,10 +1,10 @@
 // Package rl implements the learned scaling policy: a tabular Q-learning
-// autoscaler trained offline against a deterministic, clock-free simulator
-// that replays internal/loadgen traces through the same arrive/complete/
-// clamp backlog recursion internal/verify models (sim.go), then shipped as
-// a versioned Q-table artifact (table.go) that plugs into the service as a
-// third core.ScalingPolicy next to reactive and hybrid, and re-encodes as
-// a tick FSM internal/verify can model-check exactly.
+// autoscaler trained offline against a deterministic, clock-free backlog
+// simulator (sim.go) that replays internal/loadgen traces, then shipped as
+// a versioned Q-table artifact (table.go). The table is an elastic.Policy
+// itself, so the service runs it, internal/verify model-checks it, and
+// the simulator scores it next to the reactive and hybrid policies — all
+// through the same Table.Step.
 //
 // The decision core is one pure function, Table.Step: given the policy's
 // small internal state (saturating cooldown counters plus the previous
@@ -31,31 +31,6 @@ import (
 
 	"disarcloud/internal/loadgen"
 )
-
-// Obs is one control-tick observation: the jobs in the system (queued plus
-// running — the same total the controller's pressure gauge divides by the
-// pool), the current pool target, and the arrival rate in jobs per tick.
-// In training and verification the rate is the trace's deterministic
-// profile (the perfect-forecast idealization the hybrid FSM also uses); in
-// the live service it is the measured submission count of the last control
-// tick.
-type Obs struct {
-	Queue   int
-	Workers int
-	// RatePerTick is arrivals per control tick.
-	RatePerTick float64
-}
-
-// State is the policy's internal state between ticks: the two saturating
-// cooldown counters (the same slot semantics as the verifier's reactive
-// FSM) and the previous tick's rate bucket, from which the forecast-slope
-// feature is derived. PrevRate is the bucket index plus one; zero means
-// "no previous observation" and reads as a flat slope.
-type State struct {
-	SinceUp   int32
-	SinceDown int32
-	PrevRate  int32
-}
 
 // Spec fixes everything about a learned policy: the control-plane scale it
 // was trained for, the state discretization, the action set, the reward

@@ -5,24 +5,55 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
+	"disarcloud/internal/elastic"
 	"disarcloud/internal/finmath"
 )
 
-// SimPolicy is what the simulator drives: one Decide per control tick,
-// observing (jobs in system, pool size, arrival rate) and returning the
-// worker target. Runtime implements it for learned tables; the experiments
-// package adapts the verifier's reactive/hybrid FSMs to it, so all three
-// policy families replay the identical dynamics.
-type SimPolicy interface {
-	Reset()
-	Decide(queue, workers int, ratePerTick float64) int
+// Backlog is the clock-free queue model every simulator in the repository
+// steps — training (Train), scoring (Simulate) and the verifier's
+// empirical cross-check (verify.Replay) — and the one internal/verify's
+// MDP encodes exactly: Queue jobs in the system, each busy worker
+// completing its job in a tick with probability CompletionProb (geometric
+// job durations with the configured mean), arrivals landing after
+// completions, and the count clamped at a maximum.
+type Backlog struct {
+	Queue    int
+	maxQueue int
+	mu       float64
+	rng      *finmath.RNG
 }
 
-// SimConfig fixes the simulated control plane: the same queue recursion
-// internal/verify's Replay steps (service completions are per-worker
-// Bernoulli draws with probability min(1, tick/meanRuntime); arrivals land
-// after completions; the jobs-in-system count clamps at MaxQueue), plus
+// CompletionProb is the per-tick completion probability of one busy
+// worker: min(1, tick/meanRuntime).
+func CompletionProb(tickSeconds, meanRuntimeSeconds float64) float64 {
+	return min(tickSeconds/meanRuntimeSeconds, 1)
+}
+
+// NewBacklog starts an empty backlog whose completions draw from rng.
+func NewBacklog(maxQueue int, tickSeconds, meanRuntimeSeconds float64, rng *finmath.RNG) *Backlog {
+	return &Backlog{maxQueue: maxQueue, mu: CompletionProb(tickSeconds, meanRuntimeSeconds), rng: rng}
+}
+
+// Tick advances one control tick on a pool of workers: min(Queue, workers)
+// jobs are in service and each completes with the completion probability,
+// then the arrivals land; arrivals past the maximum are dropped.
+func (b *Backlog) Tick(workers, arrivals int) (completed, dropped int) {
+	for busy := min(b.Queue, workers); busy > 0; busy-- {
+		if b.rng.Float64() < b.mu {
+			completed++
+		}
+	}
+	b.Queue += arrivals - completed
+	if b.Queue > b.maxQueue {
+		dropped = b.Queue - b.maxQueue
+		b.Queue = b.maxQueue
+	}
+	return completed, dropped
+}
+
+// SimConfig fixes the simulated control plane: the Backlog recursion, plus
 // FIFO per-job latency tracking the MDP abstracts away.
 type SimConfig struct {
 	TickMS         int
@@ -66,10 +97,10 @@ const drainFactor = 4
 
 // Simulate replays one trace (per-tick arrival counts plus the
 // deterministic rate profile the policy observes) through the backlog
-// dynamics under the given policy. Everything is deterministic in
-// (counts, rates, cfg.Seed, policy), which is what makes the policy
-// comparison experiment bit-reproducible.
-func Simulate(counts []int, rates []float64, pol SimPolicy, cfg SimConfig) (SimResult, error) {
+// dynamics under the given policy, stepped at exact tick multiples.
+// Everything is deterministic in (counts, rates, cfg.Seed, policy), which
+// is what makes the policy comparison experiment bit-reproducible.
+func Simulate(counts []int, rates []float64, pol elastic.Policy, cfg SimConfig) (SimResult, error) {
 	if len(counts) == 0 || len(counts) != len(rates) {
 		return SimResult{}, fmt.Errorf("rl: trace has %d counts and %d rates", len(counts), len(rates))
 	}
@@ -82,67 +113,53 @@ func Simulate(counts []int, rates []float64, pol SimPolicy, cfg SimConfig) (SimR
 	if cfg.InitialWorkers < 1 {
 		return SimResult{}, errors.New("rl: simulation needs at least one initial worker")
 	}
+	tick := time.Duration(cfg.TickMS) * time.Millisecond
 	tickSec := float64(cfg.TickMS) / 1000
-	mu := tickSec / (cfg.MeanRuntimeMS / 1000)
-	if mu > 1 {
-		mu = 1
-	}
-	rng := finmath.NewRNG(cfg.Seed ^ 0x51a7e51a)
-	pol.Reset()
+	b := NewBacklog(cfg.MaxQueue, tickSec, cfg.MeanRuntimeMS/1000, finmath.NewRNG(cfg.Seed^0x51a7e51a))
 
-	// FIFO of arrival ticks: completions pop the oldest jobs, which is how
-	// the scheduler's queue serves and what p95 latency means here.
+	// FIFO of arrival ticks, kept in step with the backlog count:
+	// completions pop the oldest jobs, which is how the scheduler's queue
+	// serves and what p95 latency means here.
 	fifo := make([]int, 0, cfg.MaxQueue)
 	var latencies []int
 	var res SimResult
-	w := cfg.InitialWorkers
+	st, w := pol.Init(), cfg.InitialWorkers
+	now := time.Unix(0, 0)
 	queueSum := 0
 	maxTicks := drainFactor*len(counts) + 1000
 	for i := 0; ; i++ {
 		rate, arr := 0.0, 0
 		if i < len(counts) {
 			rate, arr = rates[i], counts[i]
-		} else if len(fifo) == 0 || i >= maxTicks {
+		} else if b.Queue == 0 || i >= maxTicks {
 			res.Ticks = i
 			break
 		}
-		target := pol.Decide(len(fifo), w, rate)
+		var target int
+		st, target, _ = pol.Step(st, elastic.QueueSignals(now, b.Queue, w, rate))
 		if target != w {
 			res.Resizes++
 		}
-		busy := len(fifo)
-		if busy > target {
-			busy = target
-		}
-		completed := 0
-		for b := 0; b < busy; b++ {
-			if rng.Float64() < mu {
-				completed++
-			}
-		}
-		for c := 0; c < completed; c++ {
-			latencies = append(latencies, i-fifo[c]+1)
+		completed, dropped := b.Tick(target, arr)
+		for _, at := range fifo[:completed] {
+			latencies = append(latencies, i-at+1)
 		}
 		fifo = fifo[completed:]
-		for a := 0; a < arr; a++ {
-			if len(fifo) >= cfg.MaxQueue {
-				res.Dropped++
-				continue
-			}
+		for a := dropped; a < arr; a++ {
 			fifo = append(fifo, i)
 		}
+		res.Dropped += dropped
 		w = target
-		if w > res.PeakWorkers {
-			res.PeakWorkers = w
-		}
+		res.PeakWorkers = max(res.PeakWorkers, w)
 		res.WorkerSeconds += float64(w) * tickSec
-		queueSum += len(fifo)
-		if len(fifo) >= cfg.QueueBound {
+		queueSum += b.Queue
+		if b.Queue >= cfg.QueueBound {
 			res.ViolationTicks++
 		}
+		now = now.Add(tick)
 	}
 	res.Jobs = len(latencies)
-	res.Unfinished = len(fifo)
+	res.Unfinished = b.Queue
 	if res.Ticks > 0 {
 		res.MeanQueue = float64(queueSum) / float64(res.Ticks)
 	}

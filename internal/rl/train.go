@@ -1,6 +1,9 @@
 package rl
 
 import (
+	"time"
+
+	"disarcloud/internal/elastic"
 	"disarcloud/internal/finmath"
 	"disarcloud/internal/loadgen"
 	"disarcloud/internal/ml"
@@ -13,8 +16,8 @@ const trainSeedStride = 1000003
 
 // Train runs offline Q-learning against the deterministic simulator and
 // returns the learned table. Episodes cycle through the spec's trace
-// families; within an episode the agent steps the same queue recursion
-// Simulate (and verify.Replay) uses, picks actions epsilon-greedily with
+// families; within an episode the agent steps the same Backlog Simulate
+// and verify.Replay use, picks actions epsilon-greedily with
 // the exploration rate decaying linearly to a tenth of its initial value,
 // and updates Q[s][a] += alpha * (r + gamma * max_a' Q[s'][a'] - Q[s][a]).
 // With Spec.Bandit the discount is forced to zero — the contextual-bandit
@@ -34,10 +37,6 @@ func Train(spec Spec) (*Table, error) {
 		gamma = 0
 	}
 	tickSec := spec.TickSeconds()
-	mu := tickSec / spec.MeanRuntimeSeconds()
-	if mu > 1 {
-		mu = 1
-	}
 	explore := finmath.NewRNG(spec.Seed ^ 0xe8b7015e)
 	for ep := 0; ep < spec.Episodes; ep++ {
 		trace := spec.Traces[ep%len(spec.Traces)]
@@ -51,38 +50,21 @@ func Train(spec Spec) (*Table, error) {
 		if spec.Episodes > 1 {
 			eps *= 1 - 0.9*float64(ep)/float64(spec.Episodes-1)
 		}
-		env := finmath.NewRNG(spec.Seed ^ 0x0e50de ^ uint64(ep)*trainSeedStride)
-		st := t.Init()
-		q, w := 0, spec.MinWorkers
+		env := NewBacklog(spec.MaxQueue, tickSec, spec.MeanRuntimeSeconds(),
+			finmath.NewRNG(spec.Seed^0x0e50de^uint64(ep)*trainSeedStride))
+		st, w := t.Init(), spec.MinWorkers
 		for i := range counts {
-			obs := Obs{Queue: q, Workers: w, RatePerTick: rates[i]}
-			idx := t.StateIndex(st, obs)
+			sig := elastic.QueueSignals(time.Time{}, env.Queue, w, rates[i])
+			idx := t.StateIndex(st, sig)
 			var action int
 			if explore.Float64() < eps {
 				action = explore.Intn(spec.NumActions())
 			} else {
 				action = ml.Argmax(t.Q[idx])
 			}
-			st2, target := t.Apply(st, obs, action)
-
-			// One tick of the backlog recursion, exactly as Simulate and
-			// verify.Replay step it.
-			busy := q
-			if busy > target {
-				busy = target
-			}
-			completed := 0
-			for b := 0; b < busy; b++ {
-				if env.Float64() < mu {
-					completed++
-				}
-			}
-			q2 := q + counts[i] - completed
-			if q2 < 0 {
-				q2 = 0
-			} else if q2 > spec.MaxQueue {
-				q2 = spec.MaxQueue
-			}
+			st2, target, _ := t.Apply(st, sig, action)
+			env.Tick(target, counts[i])
+			q2 := env.Queue
 
 			reward := -spec.CostWeight * float64(target) * tickSec
 			if target != w {
@@ -95,12 +77,7 @@ func Train(spec Spec) (*Table, error) {
 			// pool — not jobs in service: a pool sized to its backlog waits
 			// nothing, so this term is what teaches the policy to track demand
 			// instead of blanket over-provisioning.
-			waiting := q2 - target
-			if waiting < 0 {
-				waiting = 0
-			} else if waiting > spec.QueueBound {
-				waiting = spec.QueueBound
-			}
+			waiting := min(max(q2-target, 0), spec.QueueBound)
 			reward -= spec.QueueWeight * float64(waiting) / float64(spec.QueueBound)
 
 			// The successor observation sees the next tick's profile rate —
@@ -109,11 +86,11 @@ func Train(spec Spec) (*Table, error) {
 			if i+1 < len(rates) {
 				nextRate = rates[i+1]
 			}
-			idx2 := t.StateIndex(st2, Obs{Queue: q2, Workers: target, RatePerTick: nextRate})
+			idx2 := t.StateIndex(st2, elastic.QueueSignals(time.Time{}, env.Queue, target, nextRate))
 			best := t.Q[idx2][ml.Argmax(t.Q[idx2])]
 			t.Q[idx][action] += spec.Alpha * (reward + gamma*best - t.Q[idx][action])
 
-			st, q, w = st2, q2, target
+			st, w = st2, target
 		}
 	}
 	return t, nil

@@ -11,6 +11,11 @@
 // the CI gate: it fails the build when the shipped default elastic
 // configuration violates a stated SLA bound.
 //
+// The policy checked is the code the service runs: the builder enumerates
+// the elastic.Policy step function itself (reactive, hybrid, or a learned
+// rl.Table), so a verified bound covers the deployed policy by
+// construction.
+//
 // Everything in this package is pure and bit-deterministic: state spaces
 // are enumerated and canonically ordered, transition rows are sorted, and
 // value iteration accumulates in a fixed order, so the same request always

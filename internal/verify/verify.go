@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"disarcloud/internal/elastic"
+	"disarcloud/internal/forecast"
 	"disarcloud/internal/loadgen"
 	"disarcloud/internal/rl"
 )
@@ -202,20 +203,59 @@ func (r Request) Validate() error {
 }
 
 // buildPolicy constructs the requested policy over the defaulted request.
-func (r Request) buildPolicy() (Policy, error) {
+func (r Request) buildPolicy() (elastic.Policy, error) {
 	cfg := r.elasticConfig()
-	tick := time.Duration(r.TickMS) * time.Millisecond
 	switch r.Policy {
 	case PolicyReactive:
-		return NewReactivePolicy(cfg, tick)
+		return elastic.NewReactive(cfg)
 	case PolicyHybrid:
-		return NewHybridPolicy(cfg, tick, r.Headroom, r.MeanRuntimeMS/1000)
+		return PerfectHybrid(cfg, time.Duration(r.TickMS)*time.Millisecond, r.Headroom, r.MeanRuntimeMS/1000)
 	case PolicyLearned:
-		return NewLearnedPolicy(r.Table)
+		return r.Table, nil
 	default:
 		return nil, fmt.Errorf("verify: unknown policy %q", r.Policy)
 	}
 }
+
+// PerfectHybrid is the hybrid policy as the clock-free models run it: its
+// forecast target is the planner's Little's-law target for the TRUE
+// arrival rate of the current tick instead of a fitted model's
+// extrapolation, so verified properties bound what the hybrid policy does
+// when its forecast is right — forecast-model error is cross-validated
+// separately (internal/forecast's backtests), not inside the MDP. Headroom
+// below 1 selects the forecast default, as in the live subsystem.
+func PerfectHybrid(cfg elastic.Config, tick time.Duration, headroom, meanRuntimeSeconds float64) (elastic.Policy, error) {
+	r, err := elastic.NewReactive(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if tick <= 0 {
+		return nil, errors.New("verify: control tick must be positive")
+	}
+	if !(meanRuntimeSeconds > 0) || math.IsInf(meanRuntimeSeconds, 0) {
+		return nil, fmt.Errorf("verify: mean runtime %g must be positive and finite", meanRuntimeSeconds)
+	}
+	return perfectForecast{Policy: &elastic.Hybrid{Reactive: r}, planner: forecast.NewPlanner(headroom),
+		tickSeconds: tick.Seconds(), meanRuntime: meanRuntimeSeconds}, nil
+}
+
+// perfectForecast feeds its policy the planner target of the observed
+// arrival rate as Signals.Plan.
+type perfectForecast struct {
+	elastic.Policy
+	planner                  forecast.Planner
+	tickSeconds, meanRuntime float64
+}
+
+// Step implements elastic.Policy.
+func (p perfectForecast) Step(st elastic.State, sig elastic.Signals) (elastic.State, int, string) {
+	sig.Plan = p.planner.Target(sig.RatePerTick/p.tickSeconds, p.meanRuntime)
+	return p.Policy.Step(st, sig)
+}
+
+// errLearnedTable is the Validate error for a learned request with no
+// table attached.
+var errLearnedTable = errors.New("verify: the learned policy needs a Q-table (set the qtable path or attach a loaded table)")
 
 // model assembles the ServiceModel for the defaulted request and a
 // pre-built arrival model.

@@ -52,7 +52,7 @@ func TestCheckPassAndViolationPaths(t *testing.T) {
 	}
 }
 
-// The whole pipeline — discretization, policy FSM, BFS enumeration,
+// The whole pipeline — discretization, policy step, BFS enumeration,
 // canonical sort, value iteration — must be bit-deterministic: two
 // independent runs of the same request produce identical float64 bits.
 func TestCheckBitDeterminism(t *testing.T) {
